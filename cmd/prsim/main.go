@@ -1,7 +1,14 @@
 // Command prsim regenerates the paper's evaluation artefacts and drives
-// the compiled dataplane from the command line. The primary interface is
-// subcommands sharing the global flags -topo, -seed and -metrics:
+// the compiled dataplane from the command line. Every mode is a verb;
+// the verbs share the global flags -topo, -seed, -metrics and -trace-out:
 //
+//	prsim figures 2a                    # one Figure 2 panel (CCDF data table)
+//	prsim figures                       # all six Figure 2 panels
+//	prsim figures overheads             # the §6 overhead comparison table
+//	prsim figures losswindow            # the §1 loss-window experiment
+//	prsim figures losswindow -traffic poisson:rate=2430
+//	prsim figures trafficloss -topo abilene
+//	prsim figures ablation -topo geant  # delivery versus embedding
 //	prsim certify                       # k-failure certificates, default panel
 //	prsim certify -topo ring:24 -k 3    # one topology, deeper adversary
 //	prsim certify -baseline             # the reconvergence control arm
@@ -30,25 +37,11 @@
 // accepts built-in names and generator specs (ring:24, wring:16@7,
 // grid:4x8, chain:12, rand:24@7).
 //
-// The paper's figure panels keep their flag form:
-//
-//	prsim -fig 2a              # one Figure 2 panel (CCDF data table)
-//	prsim -all                 # all six panels
-//	prsim -overheads           # the §6 overhead comparison table
-//	prsim -losswindow          # the §1 loss-window experiment
-//	prsim -losswindow -traffic poisson:rate=2430
-//	prsim -trafficloss -topo abilene
-//	prsim -embedding-ablation geant
-//
-// The previous release's flat mode flags (-resilience, -soak, -churn,
-// -compile, -throughput, -trafficloss) still work for one more release;
-// each prints the equivalent subcommand invocation on stderr before
-// running.
-//
 // Output is plain text suitable for gnuplot or column(1).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -79,9 +72,9 @@ import (
 // structurally different regimes.
 var defaultPanel = []string{"ring:24", "grid:4x8", "rand:24@7"}
 
-// subcommands maps each verb to its runner. The flat legacy flags map
-// onto the same runners via legacyMain.
+// subcommands maps each verb to its runner.
 var subcommands = map[string]func(args []string) error{
+	"figures":    cmdFigures,
 	"certify":    cmdCertify,
 	"resilience": cmdResilience,
 	"soak":       cmdSoak,
@@ -90,19 +83,34 @@ var subcommands = map[string]func(args []string) error{
 	"throughput": cmdThroughput,
 }
 
+const usage = "usage: prsim <verb> [flags]; verbs: figures, certify, resilience, soak, compile, churn, throughput"
+
+// usageError marks a malformed command line; main exits 2 on it, as the
+// flag package does.
+type usageError struct{ error }
+
 func main() {
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		run, ok := subcommands[os.Args[1]]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "prsim: unknown command %q (have: certify, resilience, soak, compile, churn, throughput)\n", os.Args[1])
-			os.Exit(2)
-		}
-		if err := run(os.Args[2:]); err != nil {
-			fatal(err)
-		}
+	err := run(os.Args[1:])
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	legacyMain()
+	fmt.Fprintln(os.Stderr, "prsim:", err)
+	if errors.As(err, &usageError{}) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run dispatches one command line (without the program name) to its verb.
+func run(args []string) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return usageError{errors.New(usage)}
+	}
+	cmd, ok := subcommands[args[0]]
+	if !ok {
+		return usageError{fmt.Errorf("unknown command %q; %s", args[0], usage)}
+	}
+	return cmd(args[1:])
 }
 
 // globals binds the flags every subcommand shares — the topology, the
@@ -120,7 +128,7 @@ type globals struct {
 }
 
 func newGlobals(verb, defTopo string) *globals {
-	fs := flag.NewFlagSet("prsim "+verb, flag.ExitOnError)
+	fs := flag.NewFlagSet("prsim "+verb, flag.ContinueOnError)
 	g := &globals{fs: fs}
 	g.topo = fs.String("topo", defTopo, "topology: built-in name or generator spec (ring:24, grid:4x8, rand:24@7)")
 	g.seed = fs.Int64("seed", 0, "master seed (0 = the mode's documented default); every derived stream sub-seeds from it")
@@ -131,7 +139,10 @@ func newGlobals(verb, defTopo string) *globals {
 
 func (g *globals) parse(args []string) error {
 	if err := g.fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
 	}
 	if *g.metrics != "" {
 		g.reg = telemetry.NewRegistry()
@@ -258,10 +269,19 @@ func cmdResilience(args []string) error {
 	if err := g.parse(args); err != nil {
 		return err
 	}
-	if *trace {
-		return runTrace(*g.topo, g.topoSet(), *scenario, *draws, g.seedOr(1), g.reg)
+	spec, proc, err := loadScenario(*scenario)
+	if err != nil {
+		return err
 	}
-	return runResilience(*g.topo, g.topoSet(), *scenario, *draws, g.seedOr(1), *pins)
+	cfg := eval.ResilienceConfig{
+		Panel: eval.Panel{Spec: spec, Process: proc, Seed: g.seedOr(1)},
+		Draws: *draws,
+	}
+	if *trace {
+		cfg.Metrics = g.reg
+		return runTrace(*g.topo, cfg)
+	}
+	return runResilience(*g.topo, g.topoSet(), cfg, *pins)
 }
 
 func cmdSoak(args []string) error {
@@ -277,8 +297,12 @@ func cmdSoak(args []string) error {
 	if err := g.parse(args); err != nil {
 		return err
 	}
-	return runSoak(*g.topo, *scenario, eval.SoakConfig{
-		Panel:        eval.Panel{Seed: g.seedOr(1), Metrics: g.reg, Tracer: g.tracer},
+	spec, proc, err := loadScenario(*scenario)
+	if err != nil {
+		return err
+	}
+	return runSoak(*g.topo, eval.SoakConfig{
+		Panel:        eval.Panel{Spec: spec, Process: proc, Seed: g.seedOr(1), Metrics: g.reg, Tracer: g.tracer},
 		Flows:        *flows,
 		Duration:     *duration,
 		Traffic:      *trafficArg,
@@ -333,198 +357,70 @@ func cmdThroughput(args []string) error {
 	return runThroughput(*g.topo, *shards, *packets, *batch, *wire, *egressBw, src, g.seedOr(1), g.reg)
 }
 
-// legacyShim prints the subcommand invocation equivalent to the flat
-// mode flags just parsed — the one-release migration breadcrumb.
-func legacyShim(verb string, drop ...string) {
-	skip := map[string]bool{verb: true}
-	for _, f := range drop {
-		skip[f] = true
+// cmdFigures regenerates the paper's evaluation artefacts. The panel is
+// a positional argument (default all): a Figure 2 panel 2a..2f, all six
+// of them, the §6 overhead table, the §1 loss window, the loss window
+// over traffic mixes, or the embedding ablation. Figures take the raw
+// -seed (0 keeps each panel's own default); the ablation defaults to 7.
+func cmdFigures(args []string) error {
+	g := newGlobals("figures", "geant")
+	scenarios := g.fs.Int("scenarios", 0, "override the multi-failure scenario count of a Figure 2 panel")
+	unit := g.fs.Bool("unit-weights", false, "Figure 2 panels: use hop-count link weights instead of distances")
+	trafficArg := g.fs.String("traffic", "", "traffic source spec (poisson:rate=2430, mmpp:on=…,dwell=…, replay:path, fixed:rate=…): replaces losswindow's fixed probe, narrows trafficloss to one source")
+	var panels []string
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		panels, args = args[:1], args[1:]
 	}
-	parts := []string{"prsim", verb}
-	flag.Visit(func(f *flag.Flag) {
-		if skip[f.Name] {
-			return
-		}
-		if f.Value.String() == "true" {
-			if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
-				parts = append(parts, "-"+f.Name)
-				return
-			}
-		}
-		parts = append(parts, "-"+f.Name, f.Value.String())
-	})
-	fmt.Fprintf(os.Stderr, "prsim: flat mode flags are deprecated and will be removed next release; use: %s\n", strings.Join(parts, " "))
-}
-
-// legacyMain is the previous release's flat-flag interface, kept for one
-// release. Modes with a subcommand equivalent print it via legacyShim
-// before running; the figure/overhead/loss-window panels remain
-// flag-only.
-func legacyMain() {
-	var (
-		figID      = flag.String("fig", "", "figure panel to regenerate (2a..2f)")
-		all        = flag.Bool("all", false, "regenerate every Figure 2 panel")
-		overheads  = flag.Bool("overheads", false, "print the §6 overhead comparison")
-		lossWindow = flag.Bool("losswindow", false, "run the §1 loss-window experiment")
-		ablation   = flag.String("embedding-ablation", "", "delivery-vs-embedding report for a topology")
-		scenarios  = flag.Int("scenarios", 0, "override multi-failure scenario count")
-		seed       = flag.Int64("seed", 0, "global seed: figures, -traffic sources, -churn edits and -resilience draws all honour it (0 = each panel's default)")
-		unit       = flag.Bool("unit-weights", false, "use hop-count link weights instead of distances")
-		plane      = flag.String("dataplane", "interpreted", "PR forwarding engine: interpreted (core.Protocol) or compiled (dataplane FIB)")
-		throughput = flag.Bool("throughput", false, "deprecated: use `prsim throughput`")
-		topoName   = flag.String("topo", "geant", "topology (built-in name or generator spec like ring:24)")
-		shards     = flag.Int("shards", 0, "engine shard count (0 = auto)")
-		packets    = flag.Int("packets", 2_000_000, "decision count for -throughput")
-		batchSize  = flag.Int("batch", 256, "packets per batch for -throughput")
-		wire       = flag.Bool("wire", false, "-throughput on raw packet bytes through ForwardWire (codec per topology)")
-		trafficArg = flag.String("traffic", "", "traffic source spec (poisson:rate=2430, mmpp:on=…,dwell=…, replay:path, fixed:rate=…) for -losswindow; sizes abstract -throughput packets")
-		trafficMix = flag.Bool("trafficloss", false, "run the loss-window experiment over a panel of traffic mixes")
-		egressBw   = flag.Float64("egress-bw", 100e9, "per-link egress bandwidth in bps for -throughput's end-to-end phase")
-		churn      = flag.Bool("churn", false, "deprecated: use `prsim churn`")
-		churnEdits = flag.Int("edits", 10, "random weight edits per topology for -churn")
-		resilience = flag.Bool("resilience", false, "deprecated: use `prsim resilience`")
-		scenario   = flag.String("scenario", "", "failure process spec for -resilience (failure.ParseScenario grammar; @path loads a scripted scenario file)")
-		draws      = flag.Int("draws", 0, "scenario draws per topology for -resilience (default 50)")
-		metrics    = flag.String("metrics", "", "serve the telemetry registry as JSON on this address while the run executes (e.g. localhost:6060)")
-		trace      = flag.Bool("trace", false, "with -resilience: arm the flight recorder on one traced draw and print a recycled packet's explained cycle walk plus the per-epoch counter timeline")
-		compileRpt = flag.Bool("compile", false, "deprecated: use `prsim compile`")
-		soak       = flag.Bool("soak", false, "deprecated: use `prsim soak`")
-		soakDur    = flag.Duration("duration", 0, "emission window for -soak (default 30s)")
-		soakFlows  = flag.Int("flows", 0, "concurrent flow count for -soak (default 100000)")
-		swapEvery  = flag.Duration("swap-every", 0, "hot-swap interval for -soak (default duration/12)")
-	)
-	flag.Parse()
-	topoSet := false
-	flag.Visit(func(f *flag.Flag) { topoSet = topoSet || f.Name == "topo" })
-
-	// One global -seed: panels with their own historical defaults keep
-	// them when the flag is absent.
-	seedOr := func(def int64) int64 {
-		if *seed != 0 {
-			return *seed
-		}
-		return def
+	if err := g.parse(args); err != nil {
+		return err
 	}
-
-	var trafficSrc traffic.Source
+	panel := "all"
+	switch panels = append(panels, g.fs.Args()...); len(panels) {
+	case 0:
+	case 1:
+		panel = panels[0]
+	default:
+		return usageError{fmt.Errorf("figures takes one panel, got %q", panels)}
+	}
+	var src traffic.Source
 	if *trafficArg != "" {
 		var err error
-		if trafficSrc, err = traffic.ParseSpecSeeded(*trafficArg, seedOr(1)); err != nil {
-			fatal(err)
+		if src, err = traffic.ParseSpecSeeded(*trafficArg, g.seedOr(1)); err != nil {
+			return err
 		}
 	}
-
-	if *plane != "interpreted" && *plane != "compiled" {
-		fatal(fmt.Errorf("unknown -dataplane %q (want interpreted or compiled)", *plane))
-	}
-	if *plane == "compiled" && !*lossWindow && !*throughput {
-		fatal(fmt.Errorf("-dataplane applies to -losswindow only (-throughput always runs the compiled engine)"))
-	}
-	if *trace && !*resilience {
-		fatal(fmt.Errorf("-trace requires -resilience"))
-	}
-
-	// One process-wide registry, served over HTTP for the run's duration
-	// when -metrics names an address. Modes that run live metered
-	// components (-throughput, -churn, -resilience -trace) feed it; a nil
-	// registry keeps their hot paths uninstrumented.
-	var mreg *telemetry.Registry
-	if *metrics != "" {
-		mreg = telemetry.NewRegistry()
-		srv, err := telemetry.Serve(*metrics, mreg)
-		if err != nil {
-			fatal(fmt.Errorf("-metrics %s: %w", *metrics, err))
-		}
-		fmt.Printf("# telemetry: serving JSON snapshots on http://%s/metrics\n", srv.Addr)
-	}
-
-	switch {
-	case *all:
+	switch panel {
+	case "all":
 		for _, f := range eval.Figures() {
-			if err := runFigure(f, *scenarios, *seed, *unit); err != nil {
-				fatal(err)
+			if err := runFigure(f, *scenarios, *g.seed, *unit); err != nil {
+				return err
 			}
 			fmt.Println()
 		}
-	case *figID != "":
-		f, err := eval.FigureByID(*figID)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runFigure(f, *scenarios, *seed, *unit); err != nil {
-			fatal(err)
-		}
-	case *overheads:
-		if err := eval.WriteOverheadReport(os.Stdout, []string{"abilene", "geant", "teleglobe"}); err != nil {
-			fatal(err)
-		}
-	case *lossWindow:
-		if err := runLossWindow(*plane, trafficSrc); err != nil {
-			fatal(err)
-		}
-	case *trafficMix:
+		return nil
+	case "overheads":
+		return eval.WriteOverheadReport(os.Stdout, []string{"abilene", "geant", "teleglobe"})
+	case "losswindow":
+		return runLossWindow(src)
+	case "trafficloss":
 		// A -traffic spec narrows the panel to that one source; the
 		// default fixed/poisson/mmpp/pareto mix runs otherwise.
-		var panel []traffic.Source
-		if trafficSrc != nil {
-			panel = []traffic.Source{trafficSrc}
+		var sources []traffic.Source
+		if src != nil {
+			sources = []traffic.Source{src}
 		}
-		cfg := eval.TrafficLossConfig{
-			Panel:   eval.Panel{Topologies: []string{*topoName}},
-			Sources: panel,
-		}
-		if err := eval.WriteTrafficLossReport(os.Stdout, cfg); err != nil {
-			fatal(err)
-		}
-	case *throughput:
-		legacyShim("throughput", "traffic")
-		if err := runThroughput(*topoName, *shards, *packets, *batchSize, *wire, *egressBw, trafficSrc, seedOr(1), mreg); err != nil {
-			fatal(err)
-		}
-	case *churn:
-		legacyShim("churn")
-		if err := runChurn(*topoName, *churnEdits, seedOr(1), mreg, nil); err != nil {
-			fatal(err)
-		}
-	case *compileRpt:
-		legacyShim("compile")
-		if err := runCompile(*topoName, seedOr(1), nil); err != nil {
-			fatal(err)
-		}
-	case *resilience:
-		legacyShim("resilience")
-		if *trace {
-			if err := runTrace(*topoName, topoSet, *scenario, *draws, seedOr(1), mreg); err != nil {
-				fatal(err)
-			}
-			break
-		}
-		if err := runResilience(*topoName, topoSet, *scenario, *draws, seedOr(1), 0); err != nil {
-			fatal(err)
-		}
-	case *soak:
-		legacyShim("soak")
-		if err := runSoak(*topoName, *scenario, eval.SoakConfig{
-			Panel:        eval.Panel{Seed: seedOr(1), Metrics: mreg},
-			Flows:        *soakFlows,
-			Duration:     *soakDur,
-			Traffic:      *trafficArg,
-			SwapEvery:    *swapEvery,
-			Shards:       *shards,
-			BatchSize:    *batchSize,
-			BandwidthBps: *egressBw,
-		}, nil); err != nil {
-			fatal(err)
-		}
-	case *ablation != "":
-		if err := eval.WriteEmbeddingDeliveryReport(os.Stdout, *ablation, seedOr(7)); err != nil {
-			fatal(err)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "usage: prsim <certify|resilience|soak|compile|churn|throughput> [flags], or legacy figure flags (-fig, -all, -overheads, -losswindow, -trafficloss, -embedding-ablation)")
-		flag.Usage()
-		os.Exit(2)
+		return eval.WriteTrafficLossReport(os.Stdout, eval.TrafficLossConfig{
+			Panel:   eval.Panel{Topologies: []string{*g.topo}},
+			Sources: sources,
+		})
+	case "ablation":
+		return eval.WriteEmbeddingDeliveryReport(os.Stdout, *g.topo, g.seedOr(7))
 	}
+	f, err := eval.FigureByID(panel)
+	if err != nil {
+		return usageError{fmt.Errorf("unknown figures panel %q (want 2a..2f, all, overheads, losswindow, trafficloss or ablation)", panel)}
+	}
+	return runFigure(f, *scenarios, *g.seed, *unit)
 }
 
 func runFigure(f eval.Figure, scenarios int, seed int64, unitWeights bool) error {
@@ -543,38 +439,30 @@ func runFigure(f eval.Figure, scenarios int, seed int64, unitWeights bool) error
 }
 
 // runLossWindow reproduces the §1 motivation: packets lost on a loaded
-// OC-192 during a one-second outage, per scheme. The plane argument picks
-// PR's engine: the interpreted core.Protocol or the compiled FIB. A
-// non-nil traffic source replaces the fixed-interval probe, giving every
-// scheme the identical Poisson/MMPP/replayed offered load.
-func runLossWindow(plane string, source traffic.Source) error {
+// OC-192 during a one-second outage, per scheme, PR running on the
+// compiled FIB. A non-nil traffic source replaces the fixed-interval
+// probe, giving every scheme the identical Poisson/MMPP/replayed offered
+// load.
+func runLossWindow(source traffic.Source) error {
 	tp := topo.Abilene(topo.UnitWeights)
 	g := tp.Graph
 	src := g.NodeByName("Seattle")
 	dst := g.NodeByName("LosAngeles")
 
-	sys, err := (embedding.Auto{Seed: 1}).Embed(g)
+	prot, err := eval.Protocol(tp)
 	if err != nil {
 		return err
 	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	fib, err := dataplane.Compile(prot)
 	if err != nil {
 		return err
-	}
-	var prScheme sim.Scheme = &sim.PRScheme{Protocol: prot}
-	if plane == "compiled" {
-		fib, err := dataplane.Compile(prot)
-		if err != nil {
-			return err
-		}
-		prScheme = &sim.CompiledPRScheme{FIB: fib}
 	}
 	// 20%-loaded OC-192 at 1 kB packets ≈ 243k pps; scaled 1:100 for the
 	// simulation (2430 pps) — losses scale linearly with rate.
 	const pps = 2430.0
 	const scale = 100.0
 	schemes := []sim.Scheme{
-		prScheme,
+		&sim.CompiledPRScheme{FIB: fib},
 		&sim.FCPScheme{},
 		&sim.ReconvScheme{},
 	}
@@ -635,17 +523,11 @@ func runThroughput(topoName string, shards, packets, batchSize int, wire bool, e
 	if err != nil {
 		return err
 	}
-	g := tp.Graph
-	sys := tp.Embedding
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	prot, err := eval.Protocol(tp)
 	if err != nil {
 		return err
 	}
+	g, sys := prot.Graph(), prot.System()
 	fib, err := dataplane.Compile(prot)
 	if err != nil {
 		return err
@@ -820,34 +702,38 @@ func markWireFrame(fib *dataplane.FIB, buf []byte, dd uint32) error {
 	return nil
 }
 
+// loadScenario resolves a -scenario argument. One starting with '@'
+// loads a scripted scenario file (one spec per line, '#' comments) and is
+// labelled "name (script path)"; any other spec passes through as the
+// label, with a nil process the harness parses from it.
+func loadScenario(spec string) (string, failure.Process, error) {
+	path, ok := strings.CutPrefix(spec, "@")
+	if !ok {
+		return spec, nil, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", nil, fmt.Errorf("-scenario script: %w", err)
+	}
+	defer f.Close()
+	proc, err := failure.ParseScript(f)
+	if err != nil {
+		return "", nil, err
+	}
+	return fmt.Sprintf("%s (script %s)", proc.Name(), path), proc, nil
+}
+
 // runResilience quantifies the paper's headline claim: a Monte-Carlo
 // sweep of seeded failure-scenario draws over a topology panel, PR on
 // the compiled dataplane against the reconvergence baseline, every loss
 // refereed by the scenario's connectivity oracle. An explicit -topo
 // narrows the panel to that topology; the default panel covers the
 // ring, grid and random generator families — three structurally
-// different genus-0 regimes. A -scenario starting with '@' loads a
-// scripted scenario file (one spec per line, '#' comments).
-func runResilience(topoName string, topoSet bool, spec string, draws int, seed int64, pinK int) error {
-	names := defaultPanel
+// different genus-0 regimes.
+func runResilience(topoName string, topoSet bool, cfg eval.ResilienceConfig, pinK int) error {
+	cfg.Topologies = defaultPanel
 	if topoSet {
-		names = []string{topoName}
-	}
-	var proc failure.Process
-	if strings.HasPrefix(spec, "@") {
-		f, err := os.Open(spec[1:])
-		if err != nil {
-			return fmt.Errorf("-scenario script: %w", err)
-		}
-		defer f.Close()
-		if proc, err = failure.ParseScript(f); err != nil {
-			return err
-		}
-		spec = fmt.Sprintf("%s (script %s)", proc.Name(), spec[1:])
-	}
-	cfg := eval.ResilienceConfig{
-		Panel: eval.Panel{Topologies: names, Spec: spec, Process: proc, Seed: seed},
-		Draws: draws,
+		cfg.Topologies = []string{topoName}
 	}
 	// -certify-pins: certify the reconvergence baseline first and replay
 	// its counterexamples as pinned draws. Pins reference one graph's
@@ -861,7 +747,7 @@ func runResilience(topoName string, topoSet bool, spec string, draws int, seed i
 			return err
 		}
 		cert, err := eval.RunCertify(tp, eval.CertifyConfig{
-			Panel:    eval.Panel{Seed: seed},
+			Panel:    eval.Panel{Seed: cfg.Seed},
 			K:        pinK,
 			Baseline: true,
 		})
@@ -878,36 +764,16 @@ func runResilience(topoName string, topoSet bool, spec string, draws int, seed i
 // runTrace is -resilience -trace: instead of the aggregate sweep it
 // replays draws with the flight recorder armed on every packet and the
 // registry folded into per-epoch deltas, then prints the explained
-// cycle walk of a recycled packet and the epoch timeline. The traced
-// topology is -topo when set, otherwise the first panel topology.
+// cycle walk of a recycled packet and the epoch timeline.
 // TraceResilience verifies the timeline's summed deltas equal the
 // aggregate counters exactly before returning, so a printed timeline
 // is guaranteed lossless.
-func runTrace(topoName string, topoSet bool, spec string, draws int, seed int64, reg *telemetry.Registry) error {
-	name := "ring:24"
-	if topoSet {
-		name = topoName
-	}
-	tp, err := topo.ByName(name)
+func runTrace(topoName string, cfg eval.ResilienceConfig) error {
+	tp, err := topo.ByName(topoName)
 	if err != nil {
 		return err
 	}
-	var proc failure.Process
-	if strings.HasPrefix(spec, "@") {
-		f, err := os.Open(spec[1:])
-		if err != nil {
-			return fmt.Errorf("-scenario script: %w", err)
-		}
-		defer f.Close()
-		if proc, err = failure.ParseScript(f); err != nil {
-			return err
-		}
-		spec = ""
-	}
-	res, err := eval.TraceResilience(tp, eval.ResilienceConfig{
-		Panel: eval.Panel{Spec: spec, Process: proc, Seed: seed, Metrics: reg},
-		Draws: draws,
-	})
+	res, err := eval.TraceResilience(tp, cfg)
 	if err != nil {
 		return err
 	}
@@ -922,7 +788,7 @@ func runTrace(topoName string, topoSet bool, spec string, draws int, seed int64,
 		fmt.Println("## recycled packet (cycle walk)")
 		fmt.Print(f.Explain())
 	} else {
-		fmt.Printf("no recycled packet in %d draw(s); try more -draws or a denser -scenario\n", max(draws, 1))
+		fmt.Printf("no recycled packet in %d draw(s); try more -draws or a denser -scenario\n", max(cfg.Draws, 1))
 	}
 
 	fmt.Println("\n## per-epoch counter timeline (summed deltas == aggregate, verified)")
@@ -936,23 +802,11 @@ func runTrace(topoName string, topoSet bool, spec string, draws int, seed int64,
 // (weight tweaks plus a structural chord add/remove) land on it, then
 // prints the refereed account, the per-epoch timeline and the verdict
 // line. A failing verdict is also a non-zero exit, so CI can gate on
-// either. A -scenario starting with '@' loads a scripted scenario file.
-func runSoak(topoName, spec string, cfg eval.SoakConfig, g *globals) error {
+// either.
+func runSoak(topoName string, cfg eval.SoakConfig, g *globals) error {
 	tp, err := topo.ByName(topoName)
 	if err != nil {
 		return err
-	}
-	if strings.HasPrefix(spec, "@") {
-		f, err := os.Open(spec[1:])
-		if err != nil {
-			return fmt.Errorf("-scenario script: %w", err)
-		}
-		defer f.Close()
-		if cfg.Process, err = failure.ParseScript(f); err != nil {
-			return err
-		}
-	} else {
-		cfg.Spec = spec
 	}
 	res, err := eval.RunSoak(tp, cfg)
 	if err != nil {
@@ -961,10 +815,8 @@ func runSoak(topoName, spec string, cfg eval.SoakConfig, g *globals) error {
 	eval.WriteSoakReport(os.Stdout, res)
 	// The trace is written even on a FAIL verdict — a failing soak is
 	// exactly when the span timeline is worth staring at.
-	if g != nil {
-		if err := g.writeTrace(res.Epochs); err != nil {
-			return err
-		}
+	if err := g.writeTrace(res.Epochs); err != nil {
+		return err
 	}
 	if !res.Pass {
 		return fmt.Errorf("soak verdict FAIL: %s", strings.Join(res.FailReasons, "; "))
@@ -980,7 +832,7 @@ func runSoak(topoName, spec string, cfg eval.SoakConfig, g *globals) error {
 // the swaps.
 func runChurn(topoName string, edits int, seed int64, reg *telemetry.Registry, tracer *telemetry.Tracer) error {
 	if edits <= 0 {
-		return fmt.Errorf("-churn needs -edits ≥ 1 (got %d)", edits)
+		return fmt.Errorf("churn needs -edits ≥ 1 (got %d)", edits)
 	}
 	names := []string{topoName}
 	for _, n := range []string{"abilene", "geant", "teleglobe", "ring:64", "grid:8x8"} {
@@ -1000,14 +852,7 @@ func runChurn(topoName string, edits int, seed int64, reg *telemetry.Registry, t
 	if err != nil {
 		return err
 	}
-	g := tp.Graph
-	sys := tp.Embedding
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	prot, err := eval.Protocol(tp)
 	if err != nil {
 		return err
 	}
@@ -1027,7 +872,7 @@ func runChurn(topoName string, edits int, seed int64, reg *telemetry.Registry, t
 		Metrics: reg,
 		Tracer:  tracer,
 	})
-	n := g.NumNodes()
+	n := prot.Graph().NumNodes()
 	for i := 0; i < 16; i++ {
 		pkts := make([]dataplane.Packet, 256)
 		for j := range pkts {
@@ -1050,6 +895,8 @@ func runChurn(topoName string, edits int, seed int64, reg *telemetry.Registry, t
 				return
 			case b := <-free:
 				for !eng.Submit(b) {
+					// Rings full: the workers are behind; yield and retry.
+					time.Sleep(10 * time.Microsecond)
 				}
 				submitted.Add(uint64(len(b.Pkts)))
 			}
@@ -1058,36 +905,38 @@ func runChurn(topoName string, edits int, seed int64, reg *telemetry.Registry, t
 
 	rng := rand.New(rand.NewSource(seed))
 	var recompile, swap time.Duration
-	swaps := 0
+	var editErr error
 	for i := 0; i < edits; i++ {
 		l := graph.LinkID(rng.Intn(rec.Graph().NumLinks()))
 		w := rec.Graph().Weight(l) * (0.4 + 1.2*rng.Float64())
 		start := time.Now()
 		d, err := rec.Apply(graph.SetWeight(l, w))
 		if err != nil {
-			close(stop)
-			return err
+			editErr = err
+			break
 		}
 		recompile += time.Since(start)
 		start = time.Now()
-		if err := eng.ApplyDelta(d); err != nil {
-			close(stop)
-			return err
+		if editErr = eng.ApplyDelta(d); editErr != nil {
+			break
 		}
 		swap += time.Since(start)
-		swaps++
 		time.Sleep(time.Millisecond) // let traffic flow between swaps
 	}
+	// The submitter and the engine are wound down on every path.
 	close(stop)
 	wg.Wait()
 	decided := eng.Close()
+	if editErr != nil {
+		return editErr
+	}
 	lost := submitted.Load() - decided
-	fmt.Printf("\n# live hot-swap on %s: %d delta swaps under continuous engine traffic\n", tp.Name, swaps)
+	fmt.Printf("\n# live hot-swap on %s: %d delta swaps under continuous engine traffic\n", tp.Name, edits)
 	fmt.Printf("packets submitted  %d\n", submitted.Load())
 	fmt.Printf("packets decided    %d\n", decided)
 	fmt.Printf("packets lost       %d (expected: 0)\n", lost)
-	fmt.Printf("delta recompile    %v mean\n", (recompile / time.Duration(swaps)).Round(time.Microsecond))
-	fmt.Printf("FIB swap           %v mean\n", (swap / time.Duration(swaps)).Round(time.Microsecond))
+	fmt.Printf("delta recompile    %v mean\n", (recompile / time.Duration(edits)).Round(time.Microsecond))
+	fmt.Printf("FIB swap           %v mean\n", (swap / time.Duration(edits)).Round(time.Microsecond))
 	if lost != 0 {
 		return fmt.Errorf("engine dropped %d packets across hot-swaps", lost)
 	}
@@ -1225,9 +1074,4 @@ func runCompile(topoName string, seed int64, tracer *telemetry.Tracer) error {
 		st.Counter(dataplane.MetricRecompileCoalesced), st.Counter(dataplane.MetricRepairRepaired),
 		st.Counter(dataplane.MetricRepairUnchanged))
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "prsim:", err)
-	os.Exit(1)
 }

@@ -308,12 +308,12 @@ func (lr *lrState) dfsOrient(v graph.NodeID) {
 		if e != rotation.NoDart {
 			switch {
 			case lr.lowpt[vw] < lr.lowpt[e]:
-				lr.lowpt2[e] = minInt(lr.lowpt[e], lr.lowpt2[vw])
+				lr.lowpt2[e] = min(lr.lowpt[e], lr.lowpt2[vw])
 				lr.lowpt[e] = lr.lowpt[vw]
 			case lr.lowpt[vw] > lr.lowpt[e]:
-				lr.lowpt2[e] = minInt(lr.lowpt2[e], lr.lowpt[vw])
+				lr.lowpt2[e] = min(lr.lowpt2[e], lr.lowpt[vw])
 			default:
-				lr.lowpt2[e] = minInt(lr.lowpt2[e], lr.lowpt2[vw])
+				lr.lowpt2[e] = min(lr.lowpt2[e], lr.lowpt2[vw])
 			}
 		}
 	}
@@ -476,11 +476,4 @@ func (lr *lrState) dfsEmbed(v graph.NodeID, rings *ringSet, leftRef, rightRef []
 			}
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

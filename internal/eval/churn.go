@@ -9,7 +9,6 @@ import (
 
 	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/route"
@@ -69,16 +68,7 @@ func MeasureChurn(tp topo.Topology, cfg ChurnConfig) (Churn, error) {
 	edits, seed := eff.Edits, eff.Seed
 	g := tp.Graph
 	c := Churn{Topology: tp.Name, Nodes: g.NumNodes(), Links: g.NumLinks(), Edits: edits}
-	sys := tp.Embedding
-	if sys == nil {
-		var err error
-		sys, err = (embedding.Auto{Seed: 1}).Embed(g)
-		if err != nil {
-			return c, err
-		}
-	}
-	tbl := route.Build(g, route.HopCount)
-	p, err := core.New(g, sys, tbl, core.Config{Variant: core.Full})
+	p, err := Protocol(tp)
 	if err != nil {
 		return c, err
 	}
@@ -102,7 +92,7 @@ func MeasureChurn(tp topo.Topology, cfg ChurnConfig) (Churn, error) {
 	fullTimes := make([]time.Duration, 0, edits)
 	deltaTimes := make([]time.Duration, 0, edits)
 	dirty := 0
-	fullSys := sys
+	fullSys := p.System()
 	for _, e := range plan {
 		nextG, _, err := graph.ApplyEdit(rec.Graph(), e)
 		if err != nil {

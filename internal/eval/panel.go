@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"recycle/internal/core"
+	"recycle/internal/embedding"
 	"recycle/internal/failure"
+	"recycle/internal/route"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 )
@@ -32,7 +35,7 @@ type Panel struct {
 	// a fixed Seed reproduces the run bit-for-bit.
 	Seed int64
 	// Metrics optionally shares a live registry (e.g. one served over
-	// HTTP by `prsim -metrics`); nil gives the harness a private one.
+	// HTTP by a prsim verb's -metrics); nil gives the harness a private one.
 	// Runs subtract a base snapshot, so sharing never double-counts.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, receives the run's control-plane span tree
@@ -82,4 +85,19 @@ func (p Panel) topologies() ([]topo.Topology, error) {
 		out = append(out, tp)
 	}
 	return out, nil
+}
+
+// Protocol builds the PR network every harness runs on: the topology's
+// shipped embedding (the automatic embedder at seed 1 when it ships none),
+// hop-count routes, and the Full variant. Callers compile it with their
+// own options and read the embedding back through System().
+func Protocol(tp topo.Topology) (*core.Protocol, error) {
+	g, sys := tp.Graph, tp.Embedding
+	if sys == nil {
+		var err error
+		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
+			return nil, err
+		}
+	}
+	return core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
 }

@@ -5,11 +5,8 @@ import (
 	"io"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/failure"
-	"recycle/internal/route"
 	"recycle/internal/sim"
 	"recycle/internal/topo"
 )
@@ -125,13 +122,7 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 		return nil, err
 	}
 	g := tp.Graph
-	sys := tp.Embedding
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	prot, err := Protocol(tp)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +173,7 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 			row := &rows[i]
 			if draw == 0 {
 				row.Topology = tp.Name
-				row.Genus = sys.Genus()
+				row.Genus = prot.System().Genus()
 				row.Scheme = scheme.Name()
 			}
 			row.Draws++

@@ -11,13 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/failure"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
-	"recycle/internal/route"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 	"recycle/internal/traffic"
@@ -485,13 +482,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	if cfg.MaxHops == 0 {
 		cfg.MaxHops = 4 * n
 	}
-	sys := tp.Embedding
-	var err error
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -505,7 +495,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	runSpan.SetAttr(telemetry.AttrSeed, cfg.Seed)
 	defer runSpan.End()
 
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	prot, err := Protocol(tp)
 	if err != nil {
 		return nil, err
 	}
@@ -617,10 +607,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 
 	// Batch pool: enough to keep every shard busy, and the done channel
 	// is sized to the pool so a worker's hand-off can never block.
-	pool := 4 * maxInt(cfg.Shards, runtime.GOMAXPROCS(0))
-	if pool < 32 {
-		pool = 32
-	}
+	pool := max(4*max(cfg.Shards, runtime.GOMAXPROCS(0)), 32)
 	p.done = make(chan soakDone, pool)
 	p.byBatch = make(map[*dataplane.Batch]*soakBatch, pool)
 	for i := 0; i < pool; i++ {
@@ -654,7 +641,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	ctl := &soakControl{
 		cfg: cfg, eng: eng, rec: rec, tl: tl, churn: churn,
 		events: events, start: start,
-		baseGenus: sys.Genus(),
+		baseGenus: prot.System().Genus(),
 		rng:       rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 4))),
 		tracer:    tracer,
 		root:      runSpan.ID(),
@@ -689,7 +676,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	res := &SoakResult{
 		Topology:        tp.Name,
 		Scenario:        sc.Name,
-		Genus:           sys.Genus(),
+		Genus:           prot.System().Genus(),
 		Flows:           cfg.Flows,
 		OfferedPPS:      float64(cfg.Flows) * tr.meanRate,
 		Horizon:         cfg.Duration,
@@ -734,13 +721,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 			fmt.Sprintf("drop fraction %.4f exceeds bound %.4f", df, cfg.MaxDropFrac))
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -9,11 +9,8 @@ import (
 	"strconv"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/failure"
-	"recycle/internal/route"
 	"recycle/internal/sim"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
@@ -124,13 +121,7 @@ func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, erro
 		return nil, err
 	}
 	g := tp.Graph
-	sys := tp.Embedding
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	prot, err := Protocol(tp)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,8 @@ import (
 	"io"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/graph"
-	"recycle/internal/route"
 	"recycle/internal/sim"
 	"recycle/internal/topo"
 	"recycle/internal/traffic"
@@ -53,14 +50,7 @@ type TrafficLossReport struct {
 func RunTrafficLoss(tp topo.Topology, sources []traffic.Source) (*TrafficLossReport, error) {
 	g := tp.Graph
 	src, dst := diameterPair(g)
-	sys := tp.Embedding
-	if sys == nil {
-		var err error
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	prot, err := Protocol(tp)
 	if err != nil {
 		return nil, err
 	}
